@@ -4,23 +4,35 @@ Paper shape: CardNet-A is faster than CardNet (the acceleration removes the
 per-distance encoder passes), both are much faster than running the exact
 similarity selection (SimSelect), and the sampling/KDE database methods are the
 slowest of the estimators.
+
+Writes ``BENCH_estimation_time.json``: ms/query and estimates/s per model and
+for SimSelect, so Table 6 is part of the benchmark trajectory.  Each timing is
+the best of a few passes over the same queries, which keeps one-off stalls of
+a shared machine out of the committed numbers.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
+from artifacts import emit_json
 from repro.selection import default_selector
 
+#: Timed passes over the query set; the fastest pass is reported.
+PASSES = 5
 
-def _mean_estimation_seconds(estimator, examples) -> float:
-    start = time.perf_counter()
-    for example in examples:
-        estimator.estimate(example.record, example.theta)
-    return (time.perf_counter() - start) / len(examples)
+
+def _best_mean_seconds(answer, examples) -> float:
+    """Seconds per query of ``answer(record, theta)``, best of :data:`PASSES`."""
+    best = float("inf")
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        for example in examples:
+            answer(example.record, example.theta)
+        best = min(best, time.perf_counter() - start)
+    return best / len(examples)
 
 
 def test_table6_estimation_time(hm_estimators, hm_dataset, hm_workload, print_table, benchmark):
@@ -30,17 +42,25 @@ def test_table6_estimation_time(hm_estimators, hm_dataset, hm_workload, print_ta
 
     # SimSelect row: running the exact selection algorithm per query.
     selector = default_selector("hamming", hm_dataset.records)
-    start = time.perf_counter()
-    for example in examples:
-        selector.cardinality(example.record, example.theta)
-    timings["SimSelect"] = (time.perf_counter() - start) / len(examples)
+    timings["SimSelect"] = _best_mean_seconds(selector.cardinality, examples)
 
     for name, estimator in hm_estimators.items():
-        timings[name] = _mean_estimation_seconds(estimator, examples)
+        timings[name] = _best_mean_seconds(estimator.estimate, examples)
 
     for name, seconds in timings.items():
         rows.append([name, f"{seconds * 1e3:.3f}"])
     print_table("Table 6 — average estimation time", ["model", "ms/query"], rows)
+    emit_json(
+        "estimation_time",
+        {
+            "queries": len(examples),
+            "passes": PASSES,
+            "models": {
+                name: {"ms_per_query": seconds * 1e3, "estimates_per_second": 1.0 / seconds}
+                for name, seconds in timings.items()
+            },
+        },
+    )
 
     # Shape check from the paper that holds at any scale: the accelerated model
     # is faster than CardNet (one encoder pass instead of τ+1).  The orderings

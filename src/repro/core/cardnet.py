@@ -126,19 +126,35 @@ class CardNet(nn.Module):
 
     # ------------------------------------------------------------------ #
     # Inference API (numpy in, numpy out, always deterministic)
+    #
+    # Inference runs the deterministic chain on the live parameter arrays and
+    # builds no autograd graph: VAE mean → Φ/Φ′ → stacked decoders → ReLU.
+    # The Tensor passes above are for training only.  Reading ``.data`` at
+    # call time means fit, incremental retraining and snapshot restore have
+    # nothing to invalidate.
     # ------------------------------------------------------------------ #
+    def infer_per_distance(self, features: np.ndarray) -> np.ndarray:
+        """(batch, τ_max+1) non-negative per-distance cardinalities g_i(x)."""
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        representation = self.vae.infer_representation(features)
+        if isinstance(self.encoder, AcceleratedEncoder):
+            embeddings = self.encoder.infer(representation)
+        else:
+            embeddings = self.encoder.infer(
+                representation, self.distance_embedding.table.weight.data
+            )
+        return self.decoders.infer(embeddings)
+
     def estimate(self, features: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Deterministic cardinality estimates for pre-featurized queries."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         taus = np.atleast_1d(np.asarray(taus, dtype=np.int64))
-        output = self.forward(Tensor(features), taus, deterministic=True)
-        return np.maximum(output.data, 0.0)
+        per_distance = self.infer_per_distance(features)
+        mask = PerDistanceDecoders.tau_mask(taus, per_distance.shape[1])
+        return np.maximum((per_distance * mask).sum(axis=1), 0.0)
 
     def estimate_curve(self, features: np.ndarray) -> np.ndarray:
         """Cumulative estimates for *all* τ = 0..τ_max (one monotone curve per row)."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        per_distance = self.per_distance_estimates(Tensor(features), deterministic=True)
-        return np.cumsum(np.maximum(per_distance.data, 0.0), axis=1)
+        return np.cumsum(np.maximum(self.infer_per_distance(features), 0.0), axis=1)
 
     def vae_loss(self, features: Tensor) -> Tensor:
         """The VAE term L_vae of the joint objective (Eq. 2)."""

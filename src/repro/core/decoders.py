@@ -59,6 +59,21 @@ class PerDistanceDecoders(nn.Module):
         ]
         return nn.concatenate(columns, axis=1)
 
+    def infer(self, embeddings: np.ndarray) -> np.ndarray:
+        """(batch, τ_max+1) estimates g_i(x) on plain arrays, one batched matmul.
+
+        ``embeddings`` is distance-major, (τ_max+1, batch, z_dim); slice ``i``
+        meets weight row ``i`` exactly as in :meth:`decode_distance`.
+        """
+        scores = np.matmul(embeddings, self.weights.data[:, :, None])[:, :, 0].T + self.biases.data
+        return scores * (scores > 0)
+
+    @staticmethod
+    def tau_mask(taus: np.ndarray, num_distances: int) -> np.ndarray:
+        """Row j selects the decoders i <= τ_j (the incremental-prediction sum)."""
+        taus = np.asarray(taus, dtype=np.int64)
+        return (np.arange(num_distances)[None, :] <= taus[:, None]).astype(np.float64)
+
     @staticmethod
     def cumulative(per_distance: Tensor, taus: np.ndarray) -> Tensor:
         """Incremental-prediction sum: ĉ_j = Σ_{i <= τ_j} g_i(x_j) for each row j.
@@ -66,7 +81,5 @@ class PerDistanceDecoders(nn.Module):
         Implemented as a masked sum so the whole batch (with per-row τ values)
         is handled in one tensor expression.
         """
-        taus = np.asarray(taus, dtype=np.int64)
-        num_distances = per_distance.shape[1]
-        mask = (np.arange(num_distances)[None, :] <= taus[:, None]).astype(np.float64)
+        mask = PerDistanceDecoders.tau_mask(taus, per_distance.shape[1])
         return (per_distance * Tensor(mask)).sum(axis=1)

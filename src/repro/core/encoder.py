@@ -84,6 +84,19 @@ class SharedEncoder(nn.Module):
             outputs.append(self.forward(representation, distance_embeddings[index]))
         return outputs
 
+    def infer(self, representation: np.ndarray, distance_embeddings: np.ndarray) -> np.ndarray:
+        """All z_x^i on plain arrays, distance-major: (τ_max+1, batch, z_dim).
+
+        Φ runs once over the stacked (τ_max+1)·batch rows ``[x' ; e_i]``.
+        """
+        batch = representation.shape[0]
+        count = distance_embeddings.shape[0]
+        joined = np.concatenate(
+            [np.tile(representation, (count, 1)), np.repeat(distance_embeddings, batch, axis=0)],
+            axis=1,
+        )
+        return self.network.infer(joined).reshape(count, batch, -1)
+
 
 class AcceleratedEncoder(nn.Module):
     """Φ′: every hidden layer emits one region of all τ_max+1 embeddings (paper §7).
@@ -145,3 +158,14 @@ class AcceleratedEncoder(nn.Module):
         """Per-distance embeddings as a list (interface-compatible with Φ)."""
         z_matrix = self.forward(representation)
         return [z_matrix[:, index, :] for index in range(self.tau_max + 1)]
+
+    def infer(self, representation: np.ndarray) -> np.ndarray:
+        """Z on plain arrays, distance-major: (τ_max+1, batch, z_dim)."""
+        batch = representation.shape[0]
+        regions: List[np.ndarray] = []
+        hidden = representation
+        for trunk, head, width in zip(self._trunk_layers, self._heads, self.region_widths):
+            hidden = trunk.infer(hidden)
+            hidden = hidden * (hidden > 0)
+            regions.append(head.infer(hidden).reshape(batch, self.tau_max + 1, width))
+        return np.concatenate(regions, axis=2).transpose(1, 0, 2)

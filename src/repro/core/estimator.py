@@ -181,10 +181,13 @@ class CardNetEstimator(CardinalityEstimator):
         one grid comparison and one vectorized transform for the whole batch.
 
         Consistent with :meth:`estimate_curve_many`, which returns the native
-        τ-indexed curve whenever the canonical grid is requested."""
+        τ-indexed curve whenever the canonical grid is requested.  Thresholds
+        are validated through the extractor on every grid, so an explicit
+        grid rejects NaN, ±inf and out-of-range θ like direct estimation
+        does instead of clamping them onto its end columns."""
         if self._is_canonical_grid(grid):
             return np.asarray(self.extractor.transform_thresholds(thetas), dtype=np.int64)
-        return super().curve_indices(thetas, grid)
+        return super().curve_indices(self.extractor.validate_thresholds(thetas), grid)
 
     def validation_msle(self, examples: Sequence[QueryExample]) -> float:
         """MSLE of the current model on labelled examples (update monitoring, §8)."""

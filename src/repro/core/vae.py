@@ -98,6 +98,11 @@ class VariationalAutoEncoder(nn.Module):
         """Γ(x) = [x ; VAE latent] — the dense representation fed to the encoder Φ."""
         return nn.concatenate([x, self.latent(x, deterministic)], axis=-1)
 
+    def infer_representation(self, x: np.ndarray) -> np.ndarray:
+        """Deterministic Γ(x) = [x ; μ(x)] on plain arrays (inference path)."""
+        mean = self.mean_head.infer(self.encoder_trunk.infer(x))
+        return np.concatenate([x, mean], axis=-1)
+
     @property
     def representation_dimension(self) -> int:
         return self.input_dimension + self.latent_dimension

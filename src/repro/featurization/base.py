@@ -30,8 +30,12 @@ class FeatureExtractor(ABC):
         """Binary representation x ∈ {0, 1}^d of a record."""
 
     @abstractmethod
-    def transform_threshold(self, theta: float) -> int:
-        """Monotone map from θ ∈ [0, θ_max] to τ ∈ [0, τ_max]."""
+    def transform_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
+        """Monotone map from θ ∈ [0, θ_max] to τ ∈ [0, τ_max], one int64 per θ.
+
+        Implementations start with :meth:`validate_thresholds`, the single
+        check every θ → τ path goes through.
+        """
 
     # ------------------------------------------------------------------ #
     # Batch helpers
@@ -40,25 +44,19 @@ class FeatureExtractor(ABC):
         """Stack the binary representations of many records into an (n, d) matrix."""
         return np.stack([self.transform_record(record) for record in records]).astype(np.float64)
 
-    def transform_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
-        """Vector of integer thresholds for many original thresholds."""
-        return np.asarray([self.transform_threshold(theta) for theta in thetas], dtype=np.int64)
-
-    def validate_threshold(self, theta: float) -> None:
-        if theta < 0 or theta > self.theta_max + 1e-9:
-            raise ValueError(
-                f"threshold {theta} outside supported range [0, {self.theta_max}]"
-            )
+    def transform_threshold(self, theta: float) -> int:
+        """Scalar form of :meth:`transform_thresholds` (a one-element batch)."""
+        return int(self.transform_thresholds([theta])[0])
 
     def validate_thresholds(self, thetas: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`validate_threshold`; returns the float array.
+        """Reject thresholds outside ``[0, θ_max]``; returns the float array.
 
-        The single place the accepted range/tolerance lives for the batch
-        paths — vectorized ``transform_thresholds`` overrides call this
-        instead of re-implementing the check.
+        The single place the accepted range/tolerance lives.  Written as a
+        positive range test so that NaN (every comparison False) is rejected
+        along with ±inf.
         """
         thetas = np.asarray(thetas, dtype=np.float64)
-        if thetas.size and (thetas.min() < 0 or thetas.max() > self.theta_max + 1e-9):
+        if not np.all((thetas >= 0) & (thetas <= self.theta_max + 1e-9)):
             raise ValueError(
                 f"thresholds outside supported range [0, {self.theta_max}]"
             )
@@ -66,7 +64,7 @@ class FeatureExtractor(ABC):
 
     def available_taus(self) -> List[int]:
         """All integer thresholds that some θ ∈ [0, θ_max] can map to."""
-        return sorted({self.transform_threshold(theta) for theta in np.linspace(0.0, self.theta_max, 512)})
+        return sorted(set(self.transform_thresholds(np.linspace(0.0, self.theta_max, 512)).tolist()))
 
 
 def proportional_threshold_map(theta: float, theta_max: float, tau_max: int) -> int:
@@ -75,10 +73,7 @@ def proportional_threshold_map(theta: float, theta_max: float, tau_max: int) -> 
     For integer-valued distances with θ_max <= τ_max the identity is used by
     the callers instead, so each original threshold keeps its own decoder.
     """
-    if theta_max <= 0:
-        return 0
-    ratio = min(max(theta / theta_max, 0.0), 1.0)
-    return int(np.floor(tau_max * ratio + 1e-12))
+    return int(proportional_threshold_map_batch([theta], theta_max, tau_max)[0])
 
 
 def proportional_threshold_map_batch(

@@ -15,7 +15,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .base import FeatureExtractor, proportional_threshold_map, proportional_threshold_map_batch
+from .base import FeatureExtractor, proportional_threshold_map_batch
 
 
 class EditFeatureExtractor(FeatureExtractor):
@@ -68,12 +68,6 @@ class EditFeatureExtractor(FeatureExtractor):
             stop = min(start + 2 * self.window + 1, (group + 1) * self.group_width)
             vector[start:stop] = 1.0
         return vector
-
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        if self.theta_max <= self.tau_max:
-            return int(np.floor(theta + 1e-12))
-        return proportional_threshold_map(theta, self.theta_max, self.tau_max)
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)

@@ -14,28 +14,31 @@ which is monotone in θ because ``ε`` is decreasing.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .base import FeatureExtractor
 
 
-def collision_probability(theta: float, r: float) -> float:
+def collision_probability(theta, r: float):
     """P[h_{a,b}(x) = h_{a,b}(y)] for p-stable LSH when ||x - y|| = theta.
 
     Formula from Datar et al. (SOCG 2004):
         ε(θ) = 1 - 2·Φ(-r/θ) - (2 / (sqrt(2π)·r/θ)) · (1 - exp(-(r/θ)²/2))
-    with ε(0) = 1 by continuity.
+    with ε(0) = 1 by continuity.  Works elementwise on arrays (Φ is
+    ``scipy.special.ndtr``); a scalar θ gives a float.
     """
-    if theta <= 0.0:
-        return 1.0
-    ratio = r / theta
-    if ratio > 40.0:
-        # For vanishingly small θ the collision probability is 1 up to terms
-        # below double precision; the closed form would overflow in exp(ratio²).
-        return 1.0
-    term1 = 1.0 - 2.0 * norm.cdf(-ratio)
+    thetas = np.asarray(theta, dtype=np.float64)
+    # θ <= 0 is ε = 1 by continuity.  For ratio > 40 (vanishingly small θ) ε
+    # is 1 up to terms below double precision, and the closed form would
+    # overflow in exp(ratio²); both are masked out of the closed form.
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = r / np.where(thetas > 0.0, thetas, 0.0)
+    closed = ratio <= 40.0
+    ratio = np.where(closed, ratio, 1.0)
+    term1 = 1.0 - 2.0 * ndtr(-ratio)
     term2 = (2.0 / (np.sqrt(2.0 * np.pi) * ratio)) * (1.0 - np.exp(-(ratio ** 2) / 2.0))
-    return float(max(0.0, min(1.0, term1 - term2)))
+    epsilon = np.where(closed, np.clip(term1 - term2, 0.0, 1.0), 1.0)
+    return float(epsilon) if epsilon.ndim == 0 else epsilon
 
 
 class PStableEuclideanFeatureExtractor(FeatureExtractor):
@@ -83,12 +86,12 @@ class PStableEuclideanFeatureExtractor(FeatureExtractor):
         vector[offsets] = 1.0
         return vector
 
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        epsilon = collision_probability(theta, self.bucket_width)
+    def transform_thresholds(self, thetas) -> np.ndarray:
+        """Vectorized θ → τ map: one ``collision_probability`` pass per batch."""
+        thetas = self.validate_thresholds(thetas)
         denominator = 1.0 - self._epsilon_at_max
         if denominator <= 1e-12:
-            return 0
-        ratio = (1.0 - epsilon) / denominator
-        ratio = min(max(ratio, 0.0), 1.0)
-        return int(np.floor(self.tau_max * ratio + 1e-12))
+            return np.zeros(thetas.shape, dtype=np.int64)
+        epsilon = collision_probability(thetas, self.bucket_width)
+        ratio = np.clip((1.0 - epsilon) / denominator, 0.0, 1.0)
+        return np.floor(self.tau_max * ratio + 1e-12).astype(np.int64)

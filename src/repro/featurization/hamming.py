@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FeatureExtractor, proportional_threshold_map, proportional_threshold_map_batch
+from .base import FeatureExtractor, proportional_threshold_map_batch
 
 
 class HammingFeatureExtractor(FeatureExtractor):
@@ -31,14 +31,8 @@ class HammingFeatureExtractor(FeatureExtractor):
             )
         return (vector > 0.5).astype(np.float64)
 
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        if self.theta_max <= self.tau_max:
-            return int(np.floor(theta + 1e-12))
-        return proportional_threshold_map(theta, self.theta_max, self.tau_max)
-
     def transform_thresholds(self, thetas) -> np.ndarray:
-        """Vectorized θ → τ map (the batch-first hot path avoids the scalar loop)."""
+        """θ → τ: the identity when θ_max <= τ_max, else the proportional map."""
         thetas = self.validate_thresholds(thetas)
         if self.theta_max <= self.tau_max:
             return np.floor(thetas + 1e-12).astype(np.int64)

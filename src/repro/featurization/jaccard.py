@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from ..distances.jaccard import as_frozenset
-from .base import FeatureExtractor, proportional_threshold_map, proportional_threshold_map_batch
+from .base import FeatureExtractor, proportional_threshold_map_batch
 
 
 class MinHashJaccardFeatureExtractor(FeatureExtractor):
@@ -67,10 +67,6 @@ class MinHashJaccardFeatureExtractor(FeatureExtractor):
         offsets = np.arange(self.num_permutations) * self.block_size + values
         vector[offsets] = 1.0
         return vector
-
-    def transform_threshold(self, theta: float) -> int:
-        self.validate_threshold(theta)
-        return proportional_threshold_map(theta, self.theta_max, self.tau_max)
 
     def transform_thresholds(self, thetas) -> np.ndarray:
         thetas = self.validate_thresholds(thetas)

@@ -2,6 +2,10 @@
 
 These layers are the building blocks of CardNet's encoder/decoder networks and
 of all deep-learning baselines (DL-DNN, DL-MoE, DL-RMI, DL-DLN calibrators).
+
+The layers CardNet's inference chain uses (``Linear``, ``ReLU``, ``ELU``,
+``Sequential``) also have an ``infer`` method: the same arithmetic, op for op,
+on plain numpy arrays and the live parameter arrays, with no autograd graph.
 """
 
 from __future__ import annotations
@@ -47,12 +51,21 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        if self.use_bias:
+            out = out + self.bias.data
+        return out
+
 
 class ReLU(Module):
     """Rectified linear unit."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x * (x > 0)
 
 
 class ELU(Module):
@@ -64,6 +77,9 @@ class ELU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.elu(self.alpha)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, self.alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
 
 
 class Sigmoid(Module):
@@ -99,6 +115,11 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for module in self._ordered:
             x = module(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for module in self._ordered:
+            x = module.infer(x)
         return x
 
     def __iter__(self):

@@ -199,7 +199,10 @@ class GraphEncoder:
         if isinstance(value, tuple):
             return {"t": "tuple", "items": [self.encode(item) for item in value]}
         if isinstance(value, (set, frozenset)):
-            items = sorted((self.encode(item) for item in value), key=_sort_key)
+            items = [self.encode(item) for item in value]
+            # Members encoded as plain ints (|v| < 2**53) sort by ``str``, which
+            # is what ``json.dumps`` gives for them: same order, far cheaper.
+            items.sort(key=str if all(type(item) is int for item in items) else _sort_key)
             return {"t": "frozenset" if isinstance(value, frozenset) else "set", "items": items}
         if isinstance(value, np.random.Generator):
             name = type(value.bit_generator).__name__

@@ -176,6 +176,73 @@ class TestPStableFeature:
             extractor.transform_record(np.zeros(9))
 
 
+def reference_collision_probability(theta: float, r: float) -> float:
+    """The scalar closed form of Datar et al., written with ``norm.cdf``."""
+    from scipy.stats import norm
+
+    if theta <= 0.0:
+        return 1.0
+    with np.errstate(over="ignore"):
+        ratio = r / theta
+    if ratio > 40.0:
+        return 1.0
+    term1 = 1.0 - 2.0 * norm.cdf(-ratio)
+    term2 = (2.0 / (np.sqrt(2.0 * np.pi) * ratio)) * (1.0 - np.exp(-(ratio ** 2) / 2.0))
+    return float(max(0.0, min(1.0, term1 - term2)))
+
+
+def reference_tau(extractor: PStableEuclideanFeatureExtractor, theta: float) -> int:
+    """The paper's scalar θ → τ map, evaluated θ by θ."""
+    epsilon = reference_collision_probability(theta, extractor.bucket_width)
+    at_max = reference_collision_probability(extractor.theta_max, extractor.bucket_width)
+    ratio = min(max((1.0 - epsilon) / (1.0 - at_max), 0.0), 1.0)
+    return int(np.floor(extractor.tau_max * ratio + 1e-12))
+
+
+class TestVectorizedEuclideanMap:
+    """The batched θ → τ map equals the scalar closed form, point for point."""
+
+    @pytest.mark.parametrize(
+        "theta_max,bucket_width", [(0.6, 0.5), (0.8, 0.5), (2.0, 1.0), (1.0, 0.05)]
+    )
+    def test_matches_scalar_reference(self, theta_max, bucket_width):
+        extractor = PStableEuclideanFeatureExtractor(
+            input_dimension=8, theta_max=theta_max, bucket_width=bucket_width, tau_max=16
+        )
+        edge = bucket_width / 40.0  # where the closed form takes over from ε = 1
+        grid = np.concatenate(
+            [
+                np.linspace(0.0, theta_max, 4_001),
+                [0.0, 5e-324, 1e-300, 1e-12, edge * (1 - 1e-15), edge, edge * (1 + 1e-15)],
+                [theta_max, theta_max + 1e-10],
+            ]
+        )
+        grid = grid[grid <= theta_max]
+        expected = [reference_tau(extractor, theta) for theta in grid]
+        assert extractor.transform_thresholds(grid).tolist() == expected
+        assert [extractor.transform_threshold(theta) for theta in grid[::97]] == expected[::97]
+
+        epsilon = collision_probability(grid, bucket_width)
+        reference = [reference_collision_probability(theta, bucket_width) for theta in grid]
+        np.testing.assert_allclose(epsilon, reference, rtol=0.0, atol=1e-15)
+
+    def test_endpoints(self):
+        extractor = PStableEuclideanFeatureExtractor(input_dimension=8, theta_max=0.8, tau_max=16)
+        taus = extractor.transform_thresholds([0.0, 1e-300, 0.8])
+        assert taus.dtype == np.int64
+        assert taus.tolist() == [0, 0, 16]
+        assert collision_probability(np.array([0.0, -1.0, 1e-300]), 0.5).tolist() == [1.0] * 3
+        assert isinstance(collision_probability(0.3, 0.5), float)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1e-3, 0.8 + 1e-6])
+    def test_rejects_bad_thresholds(self, theta):
+        extractor = PStableEuclideanFeatureExtractor(input_dimension=8, theta_max=0.8)
+        with pytest.raises(ValueError):
+            extractor.transform_thresholds([0.1, theta])
+        with pytest.raises(ValueError):
+            extractor.transform_threshold(theta)
+
+
 class TestFactory:
     @pytest.mark.parametrize(
         "fixture_name,expected_type",

@@ -8,7 +8,9 @@ Two contracts coexist, and both are deliberate:
   an out-of-range read;
 * endpoints whose estimator validates thresholds itself (CardNet's feature
   extractor enforces ``[0, theta_max]``) *raise* on out-of-range thetas, on
-  the cold path and the fully-cached path alike.
+  the cold path and the fully-cached path alike.  That holds on every grid a
+  CardNet endpoint is served on (canonical or explicit, e.g. the Euclidean
+  65-point grid) and for NaN and ±inf as well as negative thetas.
 
 These tests exist so a refactor cannot silently swap one behavior for the
 other (the failure mode: an out-of-grid theta quietly serving a wrong column).
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import UniformSamplingEstimator
+from repro.core import CardNetEstimator
 from repro.serving import EstimationService
 
 
@@ -90,3 +93,60 @@ class TestValidatingEstimatorRaises:
         assert service.cache.hits + service.cache.misses > 0
         with pytest.raises(ValueError):
             service.estimate("cardnet/hm", record, binary_dataset.theta_max + 50.0)
+
+
+BAD_THETAS = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+@pytest.fixture(scope="module", params=["hamming", "edit", "jaccard", "euclidean"])
+def cardnet_endpoint(request, binary_dataset, string_dataset, set_dataset, vector_dataset):
+    """(service factory, dataset) for an untrained CardNet-A endpoint per distance.
+
+    The Euclidean extractor has no canonical grid, so its endpoint is served
+    on the uniform 65-point grid the registry builds from ``theta_max``.
+    """
+    dataset = {
+        "hamming": binary_dataset,
+        "edit": string_dataset,
+        "jaccard": set_dataset,
+        "euclidean": vector_dataset,
+    }[request.param]
+    estimator = CardNetEstimator.for_dataset(dataset, accelerated=True, seed=0)
+
+    def make_service() -> EstimationService:
+        service = EstimationService()
+        service.register("cardnet", estimator, theta_max=dataset.theta_max)
+        return service
+
+    return make_service, dataset
+
+
+@pytest.mark.parametrize("theta", BAD_THETAS, ids=["nan", "inf", "-inf", "negative"])
+class TestBadThresholdsRaise:
+    """NaN, ±inf and negative thetas are rejected with ValueError on every
+    distance — never answered by clamping, never an IndexError from a cast."""
+
+    def test_cold_path(self, cardnet_endpoint, theta):
+        make_service, dataset = cardnet_endpoint
+        service = make_service()
+        with pytest.raises(ValueError):
+            service.estimate("cardnet", dataset.records[0], theta)
+
+    def test_cached_path(self, cardnet_endpoint, theta):
+        make_service, dataset = cardnet_endpoint
+        service = make_service()
+        record = dataset.records[0]
+        service.estimate("cardnet", record, 0.5 * dataset.theta_max)  # curve now cached
+        with pytest.raises(ValueError):
+            service.estimate("cardnet", record, theta)
+        assert service.cache.hits >= 1
+
+    def test_direct_estimation(self, cardnet_endpoint, theta):
+        make_service, dataset = cardnet_endpoint
+        estimator = make_service().registry.get("cardnet").estimator
+        with pytest.raises(ValueError):
+            estimator.estimate_batch([dataset.records[0]], [theta])
+        with pytest.raises(ValueError):
+            estimator.extractor.validate_thresholds([theta])
+        with pytest.raises(ValueError):
+            estimator.extractor.transform_threshold(theta)

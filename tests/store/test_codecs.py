@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter, OrderedDict, defaultdict, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving.registry import default_record_key
 from repro.store import SnapshotError, SnapshotFormatError
@@ -170,6 +173,41 @@ class TestSharingAndCycles:
         rows = [np.zeros(3), np.zeros(4)] * 20
         encoder = GraphEncoder()
         assert encoder.encode(rows)["t"] == "list"
+
+
+def json_ordered(items):
+    """The content-based member order: sorted by each item's JSON text."""
+    return sorted(items, key=lambda item: json.dumps(item, sort_keys=True, default=str))
+
+
+class TestSetMemberOrder:
+    """Sets encode their members in JSON-text order.  All-int sets take a
+    ``str`` key, which must give byte-identical output to the JSON key."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {-300, -25, -2, -1, 0, 3, 10, 25, 100, 2**53 - 1, -(2**53 - 1)},
+            frozenset({-7, 7, -70, 70, 700, -700}),
+            {1, -5, 2**60, 7, -(2**61)},  # mixed: ints >= 2**53 encode as objects
+            {1, -2, "3", 4.5},            # mixed types
+            {True, 2, 3},                 # bool is not int here
+        ],
+        ids=["negatives", "frozen", "big-ints", "mixed-types", "bool"],
+    )
+    def test_order_and_bytes_match_json_key(self, value):
+        encoded = GraphEncoder().encode(value)
+        assert encoded["items"] == json_ordered(encoded["items"])
+        assert json.dumps(encoded) == json.dumps(
+            {"t": encoded["t"], "items": json_ordered(GraphEncoder().encode(list(value))["items"])}
+        )
+        assert roundtrip(value) == value
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sets(st.integers(min_value=-(2**60), max_value=2**60), max_size=40))
+    def test_random_int_sets(self, value):
+        encoded = GraphEncoder().encode(value)
+        assert encoded["items"] == json_ordered(encoded["items"])
 
 
 class TestCallableReferences:
